@@ -191,7 +191,7 @@ mod tests {
         assert!(pr.iter().all(|&v| v > 0.0));
         // Starting from 1/N (the paper's base rule), mass grows toward n
         // under the 0.15 + 0.85·SUM update; after 5 iterations it is well
-        // on its way but not converged.
+        // on its way but not yet at its fixed point.
         let total: f64 = pr.iter().sum();
         assert!(total > 20.0 && total < 110.0, "total {total}");
         let pr10 = pagerank(&g, 50);

@@ -478,7 +478,7 @@ mod tests {
             table: "bench-trajectory".into(),
             dataset: "uniform".into(),
             query: query.into(),
-            config: "adaptive".into(),
+            config: "static".into(),
             median_us,
             rows,
         }

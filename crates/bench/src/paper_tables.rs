@@ -71,14 +71,13 @@ fn record_with_work(
     if let Some(w) = work {
         let _ = write!(
             entry,
-            ",\"values_scanned\":{},\"intersections\":{},\"merge_kernels\":{},\"gallop_kernels\":{},\"bitset_kernels\":{},\"count_fast_hits\":{},\"relayouts\":{}",
+            ",\"values_scanned\":{},\"intersections\":{},\"merge_kernels\":{},\"gallop_kernels\":{},\"bitset_kernels\":{},\"count_fast_hits\":{}",
             w.values_scanned,
             w.intersections,
             w.merge_kernels,
             w.gallop_kernels,
             w.bitset_kernels,
-            w.count_fast_hits,
-            w.relayouts
+            w.count_fast_hits
         );
     }
     entry.push('}');
@@ -222,8 +221,8 @@ pub fn main() {
             println!("(table, dataset, query, config, median_us, rows) as JSON.");
             println!();
             println!("The 'bench-trajectory' target runs the fixed query suite behind");
-            println!("the committed BENCH_*.json performance baselines (medians, adaptive");
-            println!("vs static layouts); gate regressions with");
+            println!("the committed BENCH_*.json performance baselines (medians under");
+            println!("build-time set layouts); gate regressions with");
             println!("  eh_bench --compare BENCH_OLD.json new.json");
             println!("--profile additionally runs each trajectory query once under");
             println!("Config::profile and records observed-work counters (values");
@@ -418,8 +417,9 @@ fn skew(scale: f64, reps: usize) {
 
 /// The fixed query suite behind the committed `BENCH_*.json` performance
 /// trajectory: medians (via [`measure_median`]) for triangle count/list,
-/// 2-hop, a power-law skew triangle, and an anchored selection, each under
-/// the adaptive engine and the static-layout ablation. Run with
+/// 2-hop, a power-law skew triangle, and an anchored selection, under the
+/// default engine (entries keep the config label `static`: build-time
+/// set layouts, matching the committed baselines). Run with
 /// `--threads 1 --json BENCH_N.json` to (re)generate a baseline;
 /// `eh_bench --compare OLD.json NEW.json` gates regressions in CI.
 fn bench_trajectory(scale: f64) {
@@ -448,51 +448,47 @@ fn bench_trajectory(scale: f64) {
         ("skew", &skewed, "anchored-sel", anchored.as_str()),
     ];
     let profiled = PROFILE.get().copied().unwrap_or(false);
+    let (config, cfg) = ("static", tuned(Config::default()));
     for (dataset, graph, qname, query) in suite {
-        for (config, cfg) in [
-            ("adaptive", tuned(Config::default())),
-            ("static", tuned(Config::static_layout())),
-        ] {
-            let mut db = Database::with_config(cfg);
-            db.load_graph("Edge", graph);
-            let stmt = db.prepare(query).expect("trajectory query must compile");
-            let run = || stmt.execute(&db).expect("trajectory query must run");
-            let rows = {
-                let out = run(); // warm every cached trie
-                out.scalar_u64().unwrap_or(out.num_rows() as u64)
-            };
-            let d = measure_median(reps, run);
-            // Observed work comes from a separate profiled run so the
-            // medians above are never measured with profiling on.
-            let work = profiled.then(|| {
-                let mut pdb = Database::with_config(cfg.with_profile(true));
-                pdb.load_graph("Edge", graph);
-                let out = pdb
-                    .prepare(query)
-                    .expect("trajectory query must compile")
-                    .execute(&pdb)
-                    .expect("trajectory query must run");
-                out.profile().expect("profiled run attaches a profile").work
-            });
-            record_with_work(
-                "bench-trajectory",
-                dataset,
-                qname,
-                config,
-                d,
-                rows,
-                work.as_ref(),
-            );
-            t.row(&[
-                dataset.into(),
-                qname.into(),
-                config.into(),
-                secs(d),
-                rows.to_string(),
-            ]);
-        }
+        let mut db = Database::with_config(cfg);
+        db.load_graph("Edge", graph);
+        let stmt = db.prepare(query).expect("trajectory query must compile");
+        let run = || stmt.execute(&db).expect("trajectory query must run");
+        let rows = {
+            let out = run(); // warm every cached trie
+            out.scalar_u64().unwrap_or(out.num_rows() as u64)
+        };
+        let d = measure_median(reps, run);
+        // Observed work comes from a separate profiled run so the
+        // medians above are never measured with profiling on.
+        let work = profiled.then(|| {
+            let mut pdb = Database::with_config(cfg.with_profile(true));
+            pdb.load_graph("Edge", graph);
+            let out = pdb
+                .prepare(query)
+                .expect("trajectory query must compile")
+                .execute(&pdb)
+                .expect("trajectory query must run");
+            out.profile().expect("profiled run attaches a profile").work
+        });
+        record_with_work(
+            "bench-trajectory",
+            dataset,
+            qname,
+            config,
+            d,
+            rows,
+            work.as_ref(),
+        );
+        t.row(&[
+            dataset.into(),
+            qname.into(),
+            config.into(),
+            secs(d),
+            rows.to_string(),
+        ]);
     }
-    println!("(adaptive and static must agree on rows; medians feed BENCH_*.json)");
+    println!("(medians feed BENCH_*.json)");
 }
 
 /// Uniform random sorted set of the given density over a domain.

@@ -471,7 +471,7 @@ impl Database {
     /// Recursive rules (`*` heads) use the stored relation of the same
     /// name as the base case, per the paper's PageRank/SSSP programs.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, CoreError> {
-        let program = parse_program(text).map_err(|e| CoreError::Parse(e.to_string()))?;
+        let program = parse_program(text).map_err(|e| CoreError::Parse(e.message))?;
         let mut last: Option<(String, Relation, Option<QueryProfile>)> = None;
         for rule in &program.rules {
             eh_query::validate_rule(rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
@@ -508,7 +508,7 @@ impl Database {
     /// [`Database::query_ref`] under an explicit engine configuration
     /// (per-session thread-count / scheduler overrides).
     pub fn query_ref_with(&self, text: &str, config: &Config) -> Result<QueryResult, CoreError> {
-        let program = parse_program(text).map_err(|e| CoreError::Parse(e.to_string()))?;
+        let program = parse_program(text).map_err(|e| CoreError::Parse(e.message))?;
         let mut local: HashMap<String, Relation> = HashMap::new();
         let mut local_schemas: HashMap<String, RelationSchema> = HashMap::new();
         let mut last: Option<String> = None;
@@ -675,7 +675,7 @@ impl Database {
     /// here, not per run, matching the paper's measurement methodology
     /// (§5.1.3 excludes compilation time).
     pub fn prepare(&self, text: &str) -> Result<Prepared, CoreError> {
-        let rule = eh_query::parse_rule(text).map_err(|e| CoreError::Parse(e.to_string()))?;
+        let rule = eh_query::parse_rule(text).map_err(|e| CoreError::Parse(e.message))?;
         eh_query::validate_rule(&rule).map_err(|e| CoreError::Invalid(e.to_string()))?;
         if rule.head.recursion.is_some() || rule.is_recursive() {
             return Err(CoreError::Invalid(

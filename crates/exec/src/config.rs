@@ -1,4 +1,10 @@
 //! Engine configuration — every paper ablation as a flag.
+//!
+//! Set layouts are decided once, when a relation's trie is built, by
+//! [`Config::layout_policy`]: the default per-set policy applies the
+//! paper's fig. 5 density crossover to each set, and the fixed,
+//! relation-level and block-level policies are the §4.3 ablations. A
+//! cached trie's layouts never change after it is built.
 
 use eh_ghd::PlanOptions;
 use eh_set::{IntersectConfig, LayoutKind, LayoutPolicy};
@@ -23,10 +29,12 @@ pub enum Scheduler {
 /// [`Config::uint_only`] is `-R` (no layout optimization),
 /// [`Config::no_layout_no_algorithms`] is `-RA`,
 /// [`Config::no_simd`] is `-S`, and [`Config::no_ghd`] is the single-node
-/// (LogicBlox-class) plan `-GHD`.
+/// (LogicBlox-class) plan `-GHD`. [`Config::relation_level`] and
+/// [`Config::block_level`] are the §4.3 layout-granularity ablations.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
-    /// Set-layout decision policy (default: per-set optimizer).
+    /// Set-layout decision policy, applied when a trie is built (default:
+    /// the per-set fig. 5 optimizer).
     pub layout_policy: LayoutPolicy,
     /// Intersection kernel flags (SIMD, algorithm selection).
     pub intersect: IntersectConfig,
@@ -46,13 +54,6 @@ pub struct Config {
     /// Force naive recursion even for monotone aggregates (ablation; the
     /// engine normally picks seminaive for MIN/MAX, paper §3.3.2).
     pub force_naive_recursion: bool,
-    /// Runtime-adaptive set layout: observe the sets each join actually
-    /// touches (size and span, per atom and trie depth) and re-layout
-    /// cached tries whose observed density contradicts the build-time
-    /// fig. 5 choice. `false` freezes layouts at build time — the static-
-    /// policy ablation baseline. Results are identical either way; only
-    /// the physical layout of cached tries differs.
-    pub adaptive: bool,
     /// Collect a [`eh_obs::QueryProfile`] while executing: per-level span
     /// timings, per-worker morsel balance, and the hot-path work counters
     /// (values scanned, kernel dispatches, count-fast hits). Off by
@@ -79,7 +80,6 @@ impl Default for Config {
             scheduler: Scheduler::Morsel,
             morsel_size: None,
             force_naive_recursion: false,
-            adaptive: true,
             profile: false,
             shard: None,
         }
@@ -140,21 +140,6 @@ impl Config {
     /// Select the level-0 work-distribution scheme.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Config {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Static build-time layouts only (adaptive re-layout ablation
-    /// baseline; every preset keeps `adaptive: true` otherwise).
-    pub fn static_layout() -> Config {
-        Config {
-            adaptive: false,
-            ..Default::default()
-        }
-    }
-
-    /// Toggle runtime-adaptive layout selection.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Config {
-        self.adaptive = adaptive;
         self
     }
 
@@ -228,9 +213,6 @@ mod tests {
         assert!(!ra.intersect.algorithm_optimizer);
         assert!(!Config::no_ghd().plan.ghd_optimizations);
         assert!(Config::default().plan.ghd_optimizations);
-        assert!(Config::default().adaptive);
-        assert!(!Config::static_layout().adaptive);
-        assert!(!Config::default().with_adaptive(false).adaptive);
         assert!(!Config::default().profile, "profiling is opt-in");
         assert!(Config::default().with_profile(true).profile);
     }

@@ -16,7 +16,7 @@
 //! between the serial driver ([`gj`]) and the parallel schedulers in
 //! [`crate::parallel`], so the two can no longer drift.
 
-use crate::program::{AtomExec, GjContext, JoinProgram, ObsCell, ValueBuf};
+use crate::program::{AtomExec, GjContext, JoinProgram, ValueBuf};
 use crate::sink::{emit, Sink};
 use eh_semiring::{AggOp, DynValue};
 use eh_set::intersect::{count_all_with, intersect_all_with};
@@ -50,65 +50,20 @@ pub(crate) fn sample_clock(ctx: &mut GjContext<'_>, level: usize) -> Option<Inst
     }
 }
 
-/// Observation cells keep recording every intersection until they have
-/// this many reads; past the warm-up only `sample`d calls record, so a
-/// cell's cost is bounded at `OBS_WARMUP + ticks / (CLOCK_SAMPLE_MASK+1)`
-/// regardless of workload size. Cells reset per execution, so one run must
-/// gather all the evidence a re-layout decision needs: the warm-up is
-/// sized to cover typical runs outright (matching full observation, which
-/// matters on heavy-tailed set-size distributions where a thin sample can
-/// flip the fig. 5 crossover), while truly huge runs decay to the
-/// stateless 1-in-`CLOCK_SAMPLE_MASK + 1` rate.
-pub(crate) const OBS_WARMUP: u64 = 4096;
-
-/// Record one intersection's participating sets into the adaptive-layout
-/// observation cells (`obs[atom][depth]`): counter increments only, no
-/// allocation. Shared by the merge prologue and the count fast path.
-/// Atoms whose (relation, order) layout already converged opt out
-/// entirely (`AtomExec::observe`); warm cells record only on `sample`d
-/// calls so steady-state adaptive runs stay within noise of `static`.
-#[inline]
-fn observe_level(
-    program: &JoinProgram,
-    level: usize,
-    atoms: &[AtomExec],
-    obs: &mut [Vec<ObsCell>],
-    sample: bool,
-) {
-    for st in &program.levels[level].steps {
-        let a = &atoms[st.atom];
-        if !a.observe {
-            continue;
-        }
-        let cell = &mut obs[st.atom][st.depth];
-        if sample || cell.reads < OBS_WARMUP {
-            let set = a.set_at(st.depth);
-            cell.record(set.len(), set.span());
-        }
-    }
-}
-
 /// Merge the candidate values for `level` into `out` (cleared first):
 /// the multiway intersection of every participating atom's current set,
 /// smallest-first, through the reusable `mw` scratch. This is the level
 /// prologue shared by the serial recursion and the parallel level-0
 /// drivers.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_level(
     program: &JoinProgram,
     level: usize,
     atoms: &[AtomExec],
     cfg: &crate::config::Config,
     mw: &mut MultiwayScratch,
-    obs: &mut [Vec<ObsCell>],
     out: &mut ValueBuf,
-    observe: bool,
-    sample: bool,
 ) {
     out.clear();
-    if observe {
-        observe_level(program, level, atoms, obs, sample);
-    }
     let steps = &program.levels[level].steps;
     intersect_all_with(
         steps.len(),
@@ -202,9 +157,6 @@ pub(crate) fn gj(
         };
         let count = {
             let atoms = &ctx.atoms;
-            if ctx.observe_any {
-                observe_level(program, level, atoms, &mut ctx.obs, sample);
-            }
             count_all_with(
                 steps.len(),
                 |k| {
@@ -240,10 +192,7 @@ pub(crate) fn gj(
         &ctx.atoms,
         ctx.cfg,
         &mut ctx.mw,
-        &mut ctx.obs,
         &mut merged,
-        ctx.observe_any,
-        sample,
     );
     if let Some(t) = started {
         let cell = &mut ctx.level_prof[level];

@@ -36,8 +36,7 @@ use std::time::Instant;
 /// Run level 0 over `merged` with `threads` workers and fold the
 /// per-worker sinks into `sink`. `ctx` is the post-prologue context the
 /// workers fork from; its cursors are not advanced, but each worker's
-/// adaptive-layout observation counters are merged back into it so the
-/// feedback sees parallel runs too.
+/// work tally is merged back into it.
 pub(crate) fn run(
     program: &JoinProgram,
     ctx: &mut GjContext<'_>,
@@ -53,7 +52,7 @@ pub(crate) fn run(
             let profiling = ctx.cfg.profile;
             let cursor = AtomicUsize::new(0);
             let mut workers: Vec<GjContext<'_>> = (0..threads).map(|_| ctx.fork()).collect();
-            let (mut chunks, worker_obs) = std::thread::scope(|scope| {
+            let mut chunks = std::thread::scope(|scope| {
                 let handles: Vec<_> = workers
                     .drain(..)
                     .map(|mut local| {
@@ -91,14 +90,13 @@ pub(crate) fn run(
                                 claimed.push((start, chunk_sink));
                             }
                             let tally = local.take_tally();
-                            (claimed, local.obs, tally, seen)
+                            (claimed, tally, seen)
                         })
                     })
                     .collect();
                 let mut chunks = Vec::new();
-                let mut obs = Vec::new();
                 for h in handles {
-                    let (claimed, o, tally, seen) = h.join().expect("worker thread panicked");
+                    let (claimed, tally, seen) = h.join().expect("worker thread panicked");
                     ctx.merge_tally(&tally);
                     if profiling {
                         ctx.worker_profiles.push(WorkerProfile {
@@ -107,20 +105,16 @@ pub(crate) fn run(
                         });
                     }
                     chunks.extend(claimed);
-                    obs.push(o);
                 }
-                (chunks, obs)
+                chunks
             });
-            for o in &worker_obs {
-                ctx.merge_obs(o);
-            }
             chunks.sort_unstable_by_key(|&(start, _)| start);
             chunks.into_iter().map(|(_, s)| s).collect()
         }
         Scheduler::Static => {
             let chunk = merged.len().div_ceil(threads);
             let ctx_ref = &*ctx;
-            let (sinks, worker_obs, tallies) = std::thread::scope(|scope| {
+            let (sinks, tallies) = std::thread::scope(|scope| {
                 let handles: Vec<_> = merged
                     .chunks(chunk)
                     .map(|vals| {
@@ -141,24 +135,19 @@ pub(crate) fn run(
                                 );
                             }
                             let tally = local.take_tally();
-                            (local_sink, local.obs, tally, vals.len() as u64)
+                            (local_sink, tally, vals.len() as u64)
                         })
                     })
                     .collect();
                 let mut sinks = Vec::new();
-                let mut obs = Vec::new();
                 let mut tallies = Vec::new();
                 for h in handles {
-                    let (s, o, t, seen) = h.join().expect("worker thread panicked");
+                    let (s, t, seen) = h.join().expect("worker thread panicked");
                     sinks.push(s);
-                    obs.push(o);
                     tallies.push((t, seen));
                 }
-                (sinks, obs, tallies)
+                (sinks, tallies)
             });
-            for o in &worker_obs {
-                ctx.merge_obs(o);
-            }
             for (t, seen) in &tallies {
                 ctx.merge_tally(t);
                 if ctx.cfg.profile {

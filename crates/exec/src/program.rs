@@ -18,7 +18,7 @@ use crate::plan::{AtomPlan, PhysicalPlan, PlanNode};
 use crate::storage::{Catalog, Relation};
 use eh_obs::{WorkCounters, WorkerProfile};
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{KernelStats, LayoutPolicy, MultiwayScratch, Set};
+use eh_set::{KernelStats, MultiwayScratch, Set};
 use eh_trie::{NodeId, Trie};
 use std::sync::Arc;
 
@@ -43,26 +43,10 @@ pub(crate) struct AtomExec {
     pub(crate) hints: Vec<usize>,
     /// Whether leaf values carry annotations to multiply in.
     pub(crate) annotated: bool,
-    /// Trie level of stack depth 0 (= constant-prefix length): stack depth
-    /// `d` reads sets at trie level `level_offset + d`. The adaptive-layout
-    /// feedback uses this to map observations back onto trie levels.
-    pub(crate) level_offset: usize,
-    /// Whether this atom still feeds the adaptive-layout observation
-    /// cells. False for child-result atoms (their tries are transient)
-    /// and for catalog atoms whose (relation, order) layout has already
-    /// converged — see [`crate::storage::Relation::layout_converged`].
-    pub(crate) observe: bool,
 }
 
 impl AtomExec {
-    fn new(
-        trie: Arc<Trie>,
-        attr_levels: Vec<usize>,
-        start: NodeId,
-        annotated: bool,
-        level_offset: usize,
-        observe: bool,
-    ) -> AtomExec {
+    fn new(trie: Arc<Trie>, attr_levels: Vec<usize>, start: NodeId, annotated: bool) -> AtomExec {
         // A child atom with an empty interface binds no level at all (it
         // joins the parent as a bare cross product); keep one slot so the
         // root cursor exists but nothing ever advances it.
@@ -75,8 +59,6 @@ impl AtomExec {
             stack,
             hints: vec![0; depth],
             annotated,
-            level_offset,
-            observe,
         }
     }
 
@@ -84,53 +66,6 @@ impl AtomExec {
     #[inline]
     pub(crate) fn set_at(&self, d: usize) -> &Set {
         &self.trie.node(self.stack[d]).set
-    }
-}
-
-/// One adaptive-layout observation cell: how one atom's sets at one stack
-/// depth were actually touched by intersections. Counters only — recording
-/// is allocation-free so the Generic-Join recursion can feed it.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ObsCell {
-    /// Sets consulted (one per intersection the depth participated in).
-    pub(crate) reads: u64,
-    /// Σ set length over those reads.
-    pub(crate) len_sum: u64,
-    /// Σ set span (`max - min + 1`) over those reads.
-    pub(crate) span_sum: u64,
-}
-
-impl ObsCell {
-    /// Record one observed set.
-    #[inline]
-    pub(crate) fn record(&mut self, len: usize, span: u64) {
-        self.reads += 1;
-        self.len_sum += len as u64;
-        self.span_sum += span;
-    }
-
-    /// Merge a worker's counters into this one.
-    pub(crate) fn merge(&mut self, other: &ObsCell) {
-        self.reads += other.reads;
-        self.len_sum += other.len_sum;
-        self.span_sum += other.span_sum;
-    }
-
-    /// The layout the paper's fig. 5 crossover picks for the *observed*
-    /// aggregate: average length ≥ 8 and `32·Σlen ≥ Σspan` (the density
-    /// rule summed over reads) → bitset, else uint. `None` until at least
-    /// 8 reads accumulate — too few observations to contradict the
-    /// build-time choice.
-    pub(crate) fn desired(&self) -> Option<eh_set::LayoutKind> {
-        if self.reads < 8 {
-            return None;
-        }
-        let dense = self.len_sum >= 8 * self.reads && 32 * self.len_sum >= self.span_sum;
-        Some(if dense {
-            eh_set::LayoutKind::Bitset
-        } else {
-            eh_set::LayoutKind::Uint
-        })
     }
 }
 
@@ -237,15 +172,8 @@ pub(crate) struct GjContext<'a> {
     /// Reusable multiway-intersection intermediates (shared across levels:
     /// only live while one level's merge or count is being computed).
     pub(crate) mw: MultiwayScratch,
-    /// Adaptive-layout observation cells, `obs[atom][stack depth]` —
-    /// preallocated here so the recursion only increments counters.
-    pub(crate) obs: Vec<Vec<ObsCell>>,
-    /// Whether any atom still observes ([`AtomExec::observe`]): hoisted so
-    /// the per-intersection hot path pays one predictable branch — not a
-    /// per-step scan — once every source order has converged.
-    pub(crate) observe_any: bool,
     /// Profiling work counters, `work[atom][stack depth]`, preallocated
-    /// like `obs` so the recursion only bumps fields (only when
+    /// here so the recursion only bumps fields (only when
     /// [`Config::profile`] is on).
     pub(crate) work: Vec<Vec<WorkCounters>>,
     /// Profiling: one [`LevelTally`] per attribute level, consolidated so
@@ -302,22 +230,15 @@ impl LevelTally {
 impl<'a> GjContext<'a> {
     /// Fresh context over the built atoms.
     pub(crate) fn new(atoms: Vec<AtomExec>, attrs_len: usize, cfg: &'a Config) -> GjContext<'a> {
-        let obs = atoms
-            .iter()
-            .map(|a| vec![ObsCell::default(); a.stack.len()])
-            .collect();
         let work = atoms
             .iter()
             .map(|a| vec![WorkCounters::default(); a.stack.len()])
             .collect();
-        let observe_any = atoms.iter().any(|a| a.observe);
         GjContext {
             atoms,
             bindings: vec![0; attrs_len],
             scratch: vec![ValueBuf::new(); attrs_len],
             mw: MultiwayScratch::new(),
-            obs,
-            observe_any,
             work,
             level_prof: vec![LevelTally::default(); attrs_len],
             sink_merge_ns: 0,
@@ -327,20 +248,14 @@ impl<'a> GjContext<'a> {
     }
 
     /// Clone for a worker thread: same atom cursors (cheap — tries are
-    /// behind `Arc`), fresh scratch. Worker observation and profiling
-    /// counters start at zero and are merged back by the parallel driver.
+    /// behind `Arc`), fresh scratch. Worker profiling counters start at
+    /// zero and are merged back by the parallel driver.
     pub(crate) fn fork(&self) -> GjContext<'a> {
         GjContext {
             atoms: self.atoms.clone(),
             bindings: vec![0; self.bindings.len()],
             scratch: vec![ValueBuf::new(); self.scratch.len()],
             mw: MultiwayScratch::new(),
-            obs: self
-                .atoms
-                .iter()
-                .map(|a| vec![ObsCell::default(); a.stack.len()])
-                .collect(),
-            observe_any: self.observe_any,
             work: self
                 .atoms
                 .iter()
@@ -350,15 +265,6 @@ impl<'a> GjContext<'a> {
             sink_merge_ns: 0,
             worker_profiles: Vec::new(),
             cfg: self.cfg,
-        }
-    }
-
-    /// Merge a worker's observation counters back into this context.
-    pub(crate) fn merge_obs(&mut self, worker_obs: &[Vec<ObsCell>]) {
-        for (mine, theirs) in self.obs.iter_mut().zip(worker_obs) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.merge(t);
-            }
         }
     }
 
@@ -392,10 +298,6 @@ impl<'a> GjContext<'a> {
 pub(crate) struct NodeBuild {
     /// Live atoms (query atoms and child-interface atoms).
     pub(crate) atoms: Vec<AtomExec>,
-    /// For each live atom, the catalog relation and trie order it reads —
-    /// `None` for child-result atoms (their tries are transient). The
-    /// adaptive-layout feedback uses this to re-layout cached tries.
-    pub(crate) sources: Vec<Option<(String, Vec<usize>)>>,
     /// Annotation product of fully-constant atoms and scalar factors.
     pub(crate) base_product: DynValue,
     /// A constant prefix missed or a child was empty: the node is empty.
@@ -414,15 +316,11 @@ pub(crate) fn build_node(
     op: AggOp,
 ) -> Result<NodeBuild, ExecError> {
     let mut atoms: Vec<AtomExec> = Vec::new();
-    let mut sources: Vec<Option<(String, Vec<usize>)>> = Vec::new();
     let mut base_product = op.one();
     let mut empty = false;
     for ap in &node.atoms {
         match build_atom(ap, node, catalog, cfg, is_agg, op)? {
-            BuiltAtom::Live(a) => {
-                atoms.push(a);
-                sources.push(Some((ap.relation.clone(), ap.trie_order.clone())));
-            }
+            BuiltAtom::Live(a) => atoms.push(a),
             BuiltAtom::ConstOnly(annot) => {
                 base_product = op.times(base_product, annot);
             }
@@ -469,14 +367,10 @@ pub(crate) fn build_node(
             sorted_levels,
             0,
             fully_folded && is_agg,
-            0,
-            false,
         ));
-        sources.push(None);
     }
     Ok(NodeBuild {
         atoms,
-        sources,
         base_product,
         empty,
     })
@@ -554,19 +448,11 @@ fn build_atom(
         })
         .collect();
     let annotated = is_agg && rel.is_annotated() && !ap.secondary;
-    // Observation only pays off where the adapt pass can act on it:
-    // set-level policy, adaptive mode, and an order that has not already
-    // been verified as converged.
-    let observe = cfg.adaptive
-        && cfg.layout_policy == LayoutPolicy::SetLevel
-        && !rel.layout_converged(&ap.trie_order);
     Ok(BuiltAtom::Live(AtomExec::new(
         trie,
         attr_levels,
         start,
         annotated,
-        consts.len(),
-        observe,
     )))
 }
 

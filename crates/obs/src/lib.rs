@@ -7,7 +7,7 @@
 //! * [`WorkCounters`] — fixed-size `u64` counter blocks the Generic-Join
 //!   recursion bumps per `(atom, depth)` with plain field increments (no
 //!   allocation, no atomics — blocks are per-worker and merged at join
-//!   end, exactly like the adaptive-layout observation cells).
+//!   end).
 //! * [`QueryProfile`] — what one query execution actually did: per-level
 //!   span timings, per-worker morsel balance, sink merge time, rows, and
 //!   the folded work counters, next to the planner's estimated cost so
@@ -72,8 +72,6 @@ pub struct WorkCounters {
     pub bitset_kernels: u64,
     /// Innermost count-fast-path hits (aggregate-only queries).
     pub count_fast_hits: u64,
-    /// Adaptive trie relayouts triggered after this join.
-    pub relayouts: u64,
 }
 
 impl WorkCounters {
@@ -87,7 +85,6 @@ impl WorkCounters {
         self.gallop_kernels = self.gallop_kernels.wrapping_add(other.gallop_kernels);
         self.bitset_kernels = self.bitset_kernels.wrapping_add(other.bitset_kernels);
         self.count_fast_hits = self.count_fast_hits.wrapping_add(other.count_fast_hits);
-        self.relayouts = self.relayouts.wrapping_add(other.relayouts);
     }
 
     /// Total kernel dispatches across all three families.
@@ -118,7 +115,6 @@ pub const WORK_COUNTER_GLOSSARY: &[(&str, &str)] = &[
     ("gallop_kernels", "exponential-search probe dispatches"),
     ("bitset_kernels", "bitset / block kernel dispatches"),
     ("count_fast_hits", "innermost count-fast-path hits"),
-    ("relayouts", "adaptive trie relayouts triggered"),
 ];
 
 // ---------------------------------------------------------------------------
@@ -211,13 +207,8 @@ impl QueryProfile {
         let w = &self.work;
         out.push_str(&format!(
             "observed: {} intersections, kernels merge={} gallop={} bitset={}, \
-             count-fast hits {}, relayouts {}\n",
-            w.intersections,
-            w.merge_kernels,
-            w.gallop_kernels,
-            w.bitset_kernels,
-            w.count_fast_hits,
-            w.relayouts
+             count-fast hits {}\n",
+            w.intersections, w.merge_kernels, w.gallop_kernels, w.bitset_kernels, w.count_fast_hits
         ));
         out.push_str(&format!(
             "profile: {} rows in {:.3} ms\n",
@@ -578,7 +569,6 @@ mod tests {
             gallop_kernels: seed.wrapping_mul(7),
             bitset_kernels: seed.wrapping_mul(11),
             count_fast_hits: seed.wrapping_mul(13),
-            relayouts: seed.wrapping_mul(17),
         };
         // Include near-overflow blocks: wrapping adds keep the fold
         // order-independent even at saturation.
@@ -613,7 +603,7 @@ mod tests {
         w.bitset_kernels = 5;
         assert_eq!(w.total_kernels(), 10);
         assert!(!w.is_zero());
-        assert_eq!(WORK_COUNTER_GLOSSARY.len(), 7);
+        assert_eq!(WORK_COUNTER_GLOSSARY.len(), 6);
     }
 
     #[test]

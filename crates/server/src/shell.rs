@@ -152,9 +152,10 @@ fn parse_opts(args: &[String]) -> Result<Option<Opts>, String> {
 
 /// Split input into statements. A statement is complete at a `;` or
 /// newline boundary once it either is a backslash command (except
-/// `\prepare` and `\trace`, which carry a query) or ends with `.` — so
-/// the `;` inside `C(;w:long) :- ...; w=<<COUNT(*)>>.` never splits a
-/// query. Returns complete statements plus the unfinished remainder.
+/// `\prepare`, `\trace` and `\explain` with an argument, which carry a
+/// query) or ends with `.` — so the `;` inside
+/// `C(;w:long) :- ...; w=<<COUNT(*)>>.` never splits a query. Returns
+/// complete statements plus the unfinished remainder.
 fn split_partial(input: &str) -> (Vec<String>, String) {
     let mut out = Vec::new();
     let mut acc = String::new();
@@ -162,7 +163,9 @@ fn split_partial(input: &str) -> (Vec<String>, String) {
         if ch == ';' || ch == '\n' {
             let t = acc.trim();
             let is_meta = t.starts_with('\\');
-            let wants_query = t.starts_with("\\prepare") || t.starts_with("\\trace");
+            let cmd = t.split_whitespace().next().unwrap_or("");
+            let wants_query =
+                matches!(cmd, "\\prepare" | "\\trace" | "\\explain") && cmd.len() < t.len();
             let complete = if wants_query || !is_meta {
                 t.ends_with('.')
             } else {
@@ -1320,6 +1323,24 @@ mod tests {
             stmts,
             vec!["\\trace C(;w:long) :- E(x,y); w=<<COUNT(*)>>.", "\\slow 5"]
         );
+    }
+
+    #[test]
+    fn explain_carries_an_aggregate_query_across_semicolons() {
+        let stmts = split_statements(
+            "\\l /tmp/e.tsv E; \\explain H2(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.; \\d",
+        );
+        assert_eq!(
+            stmts,
+            vec![
+                "\\l /tmp/e.tsv E",
+                "\\explain H2(;w:long) :- E(x,y),E(y,z); w=<<COUNT(*)>>.",
+                "\\d",
+            ]
+        );
+        // A bare query command still ends at the next boundary, so its
+        // "needs a query" error cannot swallow the following statement.
+        assert_eq!(split_statements("\\explain; \\d"), vec!["\\explain", "\\d"]);
     }
 
     #[test]

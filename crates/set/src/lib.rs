@@ -216,17 +216,6 @@ impl Set {
         }
     }
 
-    /// Value span `max - min + 1` (0 for empty sets). O(1) for every
-    /// layout; the adaptive-layout observer accumulates spans to decide
-    /// the fig. 5 uint↔bitset crossover from observed sets instead of
-    /// build-time ones.
-    pub fn span(&self) -> u64 {
-        match (self.min(), self.max()) {
-            (Some(lo), Some(hi)) => (hi - lo) as u64 + 1,
-            _ => 0,
-        }
-    }
-
     /// Density of the set over its value range `[min, max]`.
     pub fn density(&self) -> f64 {
         let n = self.len();

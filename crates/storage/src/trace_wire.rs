@@ -23,7 +23,7 @@ use crate::wire::{put_str, put_u32, put_u64, put_work, read_work, ByteReader};
 use eh_obs::{Span, Trace, MAX_SPAN_DEPTH};
 
 /// Tag byte identifying the trace payload layout.
-const TRACE_VERSION: u8 = 1;
+const TRACE_VERSION: u8 = 2;
 
 /// Fewest bytes a serialized span can occupy (empty name, no values,
 /// no children): 4 (name len) + 8 + 8 + 4 (value count) + 4 (child
@@ -176,7 +176,6 @@ mod tests {
                 gallop_kernels: 7,
                 bitset_kernels: 8,
                 count_fast_hits: 9,
-                relayouts: 1,
             },
             root: Span::new("cluster", 0, 5_000_000)
                 .with_value("rows", 42)
@@ -244,9 +243,7 @@ mod tests {
         // fail on the count clamp, not attempt the allocation.
         let mut body = vec![TRACE_VERSION];
         put_u64(&mut body, 1); // trace id
-        for _ in 0..7 {
-            put_u64(&mut body, 0); // work counters
-        }
+        put_work(&mut body, &WorkCounters::default());
         put_str(&mut body, "root");
         put_u64(&mut body, 0);
         put_u64(&mut body, 0);
@@ -263,9 +260,7 @@ mod tests {
         // Hand-encode a chain nested past MAX_SPAN_DEPTH.
         let mut body = vec![TRACE_VERSION];
         put_u64(&mut body, 1);
-        for _ in 0..7 {
-            put_u64(&mut body, 0);
-        }
+        put_work(&mut body, &WorkCounters::default());
         for _ in 0..=MAX_SPAN_DEPTH {
             put_str(&mut body, "s");
             put_u64(&mut body, 0);

@@ -537,7 +537,7 @@ impl ResultBatch {
 // a leading tag byte so future profile fields can extend it.
 
 /// Tag byte identifying the profile payload layout.
-const PROFILE_VERSION: u8 = 1;
+const PROFILE_VERSION: u8 = 2;
 
 pub(crate) fn put_work(out: &mut Vec<u8>, w: &eh_obs::WorkCounters) {
     put_u64(out, w.values_scanned);
@@ -546,7 +546,6 @@ pub(crate) fn put_work(out: &mut Vec<u8>, w: &eh_obs::WorkCounters) {
     put_u64(out, w.gallop_kernels);
     put_u64(out, w.bitset_kernels);
     put_u64(out, w.count_fast_hits);
-    put_u64(out, w.relayouts);
 }
 
 pub(crate) fn read_work(r: &mut ByteReader<'_>) -> Result<eh_obs::WorkCounters, StorageError> {
@@ -557,7 +556,6 @@ pub(crate) fn read_work(r: &mut ByteReader<'_>) -> Result<eh_obs::WorkCounters, 
         gallop_kernels: r.u64("gallop kernels")?,
         bitset_kernels: r.u64("bitset kernels")?,
         count_fast_hits: r.u64("count fast hits")?,
-        relayouts: r.u64("relayouts")?,
     })
 }
 
@@ -793,7 +791,6 @@ mod tests {
                 gallop_kernels: 3,
                 bitset_kernels: 1,
                 count_fast_hits: 2,
-                relayouts: 1,
             },
             nodes: vec![eh_obs::NodeProfile {
                 ns: 11_000,

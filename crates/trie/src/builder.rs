@@ -11,7 +11,7 @@
 use crate::tuple::TupleBuffer;
 use crate::{NodeId, Trie, TrieNode};
 use eh_semiring::{AggOp, DynValue};
-use eh_set::{LayoutKind, LayoutPolicy};
+use eh_set::LayoutPolicy;
 
 /// Builder for [`Trie`]s.
 #[derive(Clone, Debug)]
@@ -22,11 +22,6 @@ pub struct TrieBuilder {
     combine: AggOp,
     /// Worker threads for the sort phase (1 = serial).
     threads: usize,
-    /// Per-level layout override: `Some(kind)` at index `l` forces every
-    /// set at trie level `l` to that layout, bypassing `policy`. Used by
-    /// adaptive re-layout when observed access densities contradict the
-    /// build-time choice.
-    level_overrides: Vec<Option<LayoutKind>>,
 }
 
 impl TrieBuilder {
@@ -37,7 +32,6 @@ impl TrieBuilder {
             policy: LayoutPolicy::SetLevel,
             combine: AggOp::Sum,
             threads: 1,
-            level_overrides: Vec::new(),
         }
     }
 
@@ -57,14 +51,6 @@ impl TrieBuilder {
     /// input across `std::thread::scope` workers and merges sorted runs.
     pub fn threads(mut self, threads: usize) -> TrieBuilder {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Force the layout of whole trie levels (default: none). Index `l`
-    /// governs level `l`; `None` entries (and levels past the end) fall
-    /// back to the builder's policy.
-    pub fn level_overrides(mut self, overrides: Vec<Option<LayoutKind>>) -> TrieBuilder {
-        self.level_overrides = overrides;
         self
     }
 
@@ -134,10 +120,7 @@ impl TrieBuilder {
             ranges.push((i, j));
             i = j;
         }
-        let set = match self.level_overrides.get(level).copied().flatten() {
-            Some(kind) => LayoutPolicy::Fixed(kind).build(&values),
-            None => self.policy.build(&values),
-        };
+        let set = self.policy.build(&values);
         let mut node = TrieNode {
             set,
             children: Vec::new(),
@@ -271,21 +254,6 @@ mod tests {
     fn annotation_length_mismatch_panics() {
         let rows = vec![vec![1, 2]];
         TrieBuilder::new(2).build_annotated(&rows, &[]);
-    }
-
-    #[test]
-    fn level_overrides_beat_the_policy_per_level() {
-        // Dense leaves: SetLevel would pick bitsets, but the override
-        // pins level 1 to uint; level 0 (untouched) keeps the policy.
-        let rows: Vec<Vec<u32>> = (0..1000u32).map(|i| vec![i % 2, i]).collect();
-        let auto = TrieBuilder::new(2).build(&rows);
-        assert!(auto.level_census(1).1 > 0, "policy picks bitset leaves");
-        let forced = TrieBuilder::new(2)
-            .level_overrides(vec![None, Some(LayoutKind::Uint)])
-            .build(&rows);
-        assert_eq!(forced.level_census(1), (2, 0, 0));
-        assert_eq!(forced.level_census(0), auto.level_census(0));
-        assert_eq!(forced.scan(), auto.scan(), "layout never changes contents");
     }
 
     #[test]

@@ -208,33 +208,6 @@ impl Trie {
         (uint, bitset, block)
     }
 
-    /// Layout census `(uint, bitset, block)` restricted to the sets at one
-    /// trie level (level 0 = root set). Adaptive re-layout compares this
-    /// against observed access densities to decide whether a level's
-    /// build-time layouts still match its workload.
-    pub fn level_census(&self, level: usize) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        if level < self.arity {
-            self.level_census_rec(0, level, &mut counts);
-        }
-        counts
-    }
-
-    fn level_census_rec(&self, node_id: NodeId, depth: usize, counts: &mut (usize, usize, usize)) {
-        let node = &self.nodes[node_id as usize];
-        if depth == 0 {
-            match node.set.kind() {
-                eh_set::LayoutKind::Uint => counts.0 += 1,
-                eh_set::LayoutKind::Bitset => counts.1 += 1,
-                eh_set::LayoutKind::Block => counts.2 += 1,
-            }
-        } else {
-            for &child in &node.children {
-                self.level_census_rec(child, depth - 1, counts);
-            }
-        }
-    }
-
     /// Build a trie of `arity` columns from rows (convenience over
     /// [`TrieBuilder`]).
     pub fn from_rows<R: AsRef<[u32]>>(rows: &[R], arity: usize, policy: LayoutPolicy) -> Trie {
@@ -321,15 +294,6 @@ mod tests {
         assert_eq!(t.select(&[1]).unwrap().to_vec(), vec![2, 5]);
         assert_eq!(t.select(&[1, 2]).unwrap().to_vec(), vec![3, 4]);
         assert_eq!(t.select(&[2, 0]).unwrap().to_vec(), vec![0]);
-    }
-
-    #[test]
-    fn level_census_splits_by_depth() {
-        let rows: Vec<Vec<u32>> = (0..600u32).map(|i| vec![0, i]).collect();
-        let t = Trie::from_rows(&rows, 2, LayoutPolicy::SetLevel);
-        assert_eq!(t.level_census(0), (1, 0, 0), "root {{0}} is a tiny uint");
-        assert_eq!(t.level_census(1), (0, 1, 0), "dense leaf is a bitset");
-        assert_eq!(t.level_census(2), (0, 0, 0), "past the last level");
     }
 
     #[test]

@@ -535,3 +535,24 @@ fn tcp_transport_answers_identically() {
     server.shutdown();
     tcp_server.shutdown();
 }
+
+#[test]
+fn parse_failures_carry_one_prefix_embedded_and_remote() {
+    let bad = "T(x,y) :- Follows(x,y";
+    let embedded = reference_db().query(bad).unwrap_err().to_string();
+    assert_eq!(
+        embedded.matches("parse error").count(),
+        1,
+        "embedded: {embedded}"
+    );
+    let (server, addr) = spawn_loaded_server();
+    let mut client = EhClient::connect(&addr).expect("connect");
+    let remote = match client.query(bad) {
+        Err(ClientError::Server(m)) => m,
+        other => panic!("expected a server error, got {other:?}"),
+    };
+    assert_eq!(remote.matches("parse error").count(), 1, "remote: {remote}");
+    assert_eq!(remote, embedded, "both modes render the same message");
+    client.quit().expect("quit");
+    server.shutdown();
+}
